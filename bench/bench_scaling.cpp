@@ -390,31 +390,20 @@ void BM_ParallelScaling(benchmark::State& state) {
   cfg.stages = 2;
   cfg.tokens = 256;
   cfg.spin = 4000;
+  const std::uint64_t want = benchutil::wide_expected_checksum(cfg);
   std::uint64_t tokens = 0;
-  std::uint64_t elided = 0;
-  std::uint64_t eager = 0;
   double secs = 0.0;
   for (auto _ : state) {
     auto w = workers == 0
                  ? benchutil::build_wide_world(cfg, sim::ProcessBackend::kFibers)
                  : benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, workers);
     secs += benchutil::time_s([&] { benchutil::run_wide_world(*w); });
-    DFDBG_CHECK_MSG(benchutil::sink_checksum(*w) == w->expected_checksum,
-                    "wide graph checksum mismatch");
+    DFDBG_CHECK_MSG(benchutil::sink_checksum(*w) == want, "wide graph checksum mismatch");
     tokens += w->expected_tokens;
-    elided += w->kernel->elided_round_count();
-    for (int i = 0; i < w->kernel->partition_count(); ++i)
-      eager += w->kernel->shard_totals(i).eager_drained;
   }
   state.SetLabel(workers == 0 ? "fibers" : "parallel");
   state.counters["workers"] = workers;
   state.counters["tokens_per_sec"] = secs > 0 ? static_cast<double>(tokens) / secs : 0;
-  // Relaxed-synchrony health: rounds that skipped the coordinator merge
-  // entirely, and tokens that crossed partitions through a consumer-side
-  // eager drain instead of waiting out a full barrier. Both are maintained
-  // unconditionally, so they hold with obs off (this bench's default).
-  state.counters["elided_rounds"] = static_cast<double>(elided);
-  state.counters["eager_drained_tokens"] = static_cast<double>(eager);
   // Wall-clock speedup needs real cores under the workers; scrapers gate the
   // 2x-at-4-workers acceptance check on host_cpus >= 4 (a single-core host
   // time-slices the workers and can only show parity).
@@ -423,13 +412,13 @@ void BM_ParallelScaling(benchmark::State& state) {
 BENCHMARK(BM_ParallelScaling)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// The relaxed-synchrony fast paths under latency modeling, where they earn
-// their keep: timed transport latencies break the run into many small rounds,
-// most of which are pure local compute between wakeups — exactly the rounds
-// barrier elision skips and sparse wakes leave idle shards parked through.
-// (BM_ParallelScaling's latency-free graph collapses into a handful of giant
-// rounds that all carry boundary traffic, so its elided_rounds is 0 by
-// design; this arm is the one the single-core acceptance gate reads.)
+// The barrier protocol under latency modeling: timed transport latencies
+// break the run into many small rounds, most of them local compute between
+// wakeups, so the per-round barrier cost and the shards left parked
+// (skipped_wakes) dominate. (BM_ParallelScaling's latency-free graph
+// collapses into a handful of giant rounds.) The name dates from the barrier
+// elision this bench once measured; perfbench's `small` workload cites the
+// graph by it.
 void BM_ParallelElision(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   benchutil::WideGraphConfig cfg;
@@ -437,32 +426,25 @@ void BM_ParallelElision(benchmark::State& state) {
   cfg.stages = 2;
   cfg.tokens = 64;
   cfg.spin = 256;
+  const std::uint64_t want = benchutil::wide_expected_checksum(cfg);
   std::uint64_t tokens = 0;
   std::uint64_t rounds = 0;
-  std::uint64_t elided = 0;
-  std::uint64_t eager = 0;
   std::uint64_t skipped = 0;
   double secs = 0.0;
   for (auto _ : state) {
     auto w = benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, workers);
     w->app->set_model_latencies(true);
     secs += benchutil::time_s([&] { benchutil::run_wide_world(*w); });
-    DFDBG_CHECK_MSG(benchutil::sink_checksum(*w) == w->expected_checksum,
-                    "wide graph checksum mismatch");
+    DFDBG_CHECK_MSG(benchutil::sink_checksum(*w) == want, "wide graph checksum mismatch");
     tokens += w->expected_tokens;
     rounds += w->kernel->round_count();
-    elided += w->kernel->elided_round_count();
-    for (int i = 0; i < w->kernel->partition_count(); ++i) {
-      eager += w->kernel->shard_totals(i).eager_drained;
+    for (int i = 0; i < w->kernel->partition_count(); ++i)
       skipped += w->kernel->shard_totals(i).skipped_wakes;
-    }
   }
   state.SetLabel("parallel+latency");
   state.counters["workers"] = workers;
   state.counters["tokens_per_sec"] = secs > 0 ? static_cast<double>(tokens) / secs : 0;
   state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["elided_rounds"] = static_cast<double>(elided);
-  state.counters["eager_drained_tokens"] = static_cast<double>(eager);
   state.counters["skipped_wakes"] = static_cast<double>(skipped);
   state.counters["host_cpus"] = static_cast<double>(std::thread::hardware_concurrency());
 }
@@ -481,21 +463,16 @@ void BM_ParallelAttribution(benchmark::State& state) {
   cfg.stages = 2;
   cfg.tokens = 256;
   cfg.spin = 4000;
+  const std::uint64_t want = benchutil::wide_expected_checksum(cfg);
   std::uint64_t tokens = 0;
   std::uint64_t rounds = 0;
-  std::uint64_t elided = 0;
-  std::uint64_t eager = 0;
   double secs = 0.0;
   for (auto _ : state) {
     auto w = benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, 4);
     secs += benchutil::time_s([&] { benchutil::run_wide_world(*w); });
-    DFDBG_CHECK_MSG(benchutil::sink_checksum(*w) == w->expected_checksum,
-                    "wide graph checksum mismatch");
+    DFDBG_CHECK_MSG(benchutil::sink_checksum(*w) == want, "wide graph checksum mismatch");
     tokens += w->expected_tokens;
     rounds += w->kernel->round_count();
-    elided += w->kernel->elided_round_count();
-    for (int i = 0; i < w->kernel->partition_count(); ++i)
-      eager += w->kernel->shard_totals(i).eager_drained;
     // The zero-cost claim, checked in-band: no records accumulate while off.
     DFDBG_CHECK(attributed || w->kernel->round_records().empty());
   }
@@ -504,55 +481,9 @@ void BM_ParallelAttribution(benchmark::State& state) {
   state.counters["attributed"] = attributed ? 1 : 0;
   state.counters["tokens_per_sec"] = secs > 0 ? static_cast<double>(tokens) / secs : 0;
   state.counters["rounds"] = static_cast<double>(rounds);
-  state.counters["elided_rounds"] = static_cast<double>(elided);
-  state.counters["eager_drained_tokens"] = static_cast<double>(eager);
   state.counters["host_cpus"] = static_cast<double>(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_ParallelAttribution)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-// The adaptive partitioner on a deliberately skewed wide graph: lane p
-// carries 1+p stages, so the cluster-modulo map (whole lane -> worker p%K)
-// is load-imbalanced by construction (max worker load 12/36 stage-tokens vs
-// the 9/36 ideal at K=4), while kAdaptive re-places individual stages by
-// their recorded activations (LPT). Arg 0 = cluster-modulo baseline, Arg 1 =
-// adaptive driven by a profile taken from one untimed modulo run. The
-// acceptance bar is adaptive tokens_per_sec >= modulo tokens_per_sec.
-void BM_AdaptivePartition(benchmark::State& state) {
-  const bool adaptive = state.range(0) != 0;
-  benchutil::WideGraphConfig cfg;
-  cfg.pipelines = 8;
-  cfg.stages = 1;
-  cfg.stage_skew = 1;
-  cfg.tokens = 128;
-  cfg.spin = 4000;
-  const int workers = 4;
-  // Profiling run: cluster-modulo, untimed, both arms (so setup cost is
-  // symmetric); its activation counts drive the adaptive arm.
-  std::map<std::string, std::uint64_t> profile;
-  {
-    auto w = benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, workers);
-    benchutil::run_wide_world(*w);
-    profile = w->app->dispatch_profile();
-  }
-  std::uint64_t tokens = 0;
-  double secs = 0.0;
-  for (auto _ : state) {
-    auto w = benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, workers);
-    if (adaptive) {
-      w->app->set_partition_policy(pedf::Application::PartitionPolicy::kAdaptive);
-      w->app->set_partition_profile(profile);
-    }
-    secs += benchutil::time_s([&] { benchutil::run_wide_world(*w); });
-    DFDBG_CHECK_MSG(benchutil::sink_checksum(*w) == w->expected_checksum,
-                    "skewed wide graph checksum mismatch");
-    tokens += w->expected_tokens;
-  }
-  state.SetLabel(adaptive ? "adaptive" : "cluster_modulo");
-  state.counters["adaptive"] = adaptive ? 1 : 0;
-  state.counters["tokens_per_sec"] = secs > 0 ? static_cast<double>(tokens) / secs : 0;
-  state.counters["host_cpus"] = static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_AdaptivePartition)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -58,23 +58,12 @@ struct WideGraphConfig {
   std::size_t tokens = 128;    ///< tokens per lane
   std::uint32_t spin = 512;    ///< spin_work iterations per token per stage
   std::uint32_t seed = 1;      ///< payload PRNG seed
-  /// Deliberate load skew: lane p carries `stages + p * stage_skew` filters,
-  /// so later lanes do linearly more work (more activations AND more spin)
-  /// per token. The cluster-modulo default map keeps a whole lane on one
-  /// worker — the worst case for this shape — while the adaptive partitioner
-  /// may split a hot lane's stages across workers. 0 = uniform lanes.
-  int stage_skew = 0;
   /// When true, installs an explicit per-pipeline partition map
   /// (set_partition(stage, pipeline % workers)) instead of relying on the
   /// platform's cluster-derived default. The two coincide on this topology;
   /// tests use the explicit form to pin determinism to a fixed map.
   bool fixed_partitions = false;
 };
-
-/// Filters in lane `p` under the configured skew.
-inline int wide_stages(const WideGraphConfig& cfg, int p) {
-  return cfg.stages + p * cfg.stage_skew;
-}
 
 struct WideWorld {
   WideGraphConfig cfg;
@@ -83,12 +72,28 @@ struct WideWorld {
   std::unique_ptr<pedf::Application> app;
   pedf::HostSink* sink = nullptr;
   std::uint64_t expected_tokens = 0;
-  std::uint64_t expected_checksum = 0;  ///< order-independent sum of sink payloads
 };
 
 /// The payload stream of pipeline `p` (recomputable host-side).
 inline std::uint32_t wide_payload_seed(const WideGraphConfig& cfg, int p) {
   return cfg.seed ^ (0x9E3779B9u * static_cast<std::uint32_t>(p + 1));
+}
+
+/// The order-independent sum of the payloads the sink must see: every lane's
+/// stream run through every stage transform on the host. Costs as much as
+/// the graph's own stage work, so only verifiers call it.
+inline std::uint64_t wide_expected_checksum(const WideGraphConfig& cfg) {
+  std::uint64_t sum = 0;
+  for (int p = 0; p < cfg.pipelines; ++p) {
+    std::uint32_t x = wide_payload_seed(cfg, p);
+    for (std::size_t j = 0; j < cfg.tokens; ++j) {
+      x = wide_next(x);
+      std::uint32_t v = x;
+      for (int s = 0; s < cfg.stages; ++s) v = stage_transform(v, cfg.spin);
+      sum += v;
+    }
+  }
+  return sum;
 }
 
 /// Builds the graph on a fresh kernel of the given backend, elaborated and
@@ -98,14 +103,13 @@ inline std::uint32_t wide_payload_seed(const WideGraphConfig& cfg, int p) {
 inline std::unique_ptr<WideWorld> build_wide_world(
     const WideGraphConfig& cfg, sim::ProcessBackend backend = sim::default_process_backend(),
     int workers = 0) {
-  DFDBG_CHECK(cfg.pipelines >= 1 && cfg.stages >= 1 && cfg.stage_skew >= 0);
+  DFDBG_CHECK(cfg.pipelines >= 1 && cfg.stages >= 1);
   auto w = std::make_unique<WideWorld>();
   w->cfg = cfg;
   w->kernel = std::make_unique<sim::Kernel>(backend, workers);
-  const int max_stages = wide_stages(cfg, cfg.pipelines - 1);
   sim::PlatformConfig pc;
   pc.clusters = cfg.pipelines;
-  pc.pes_per_cluster = max_stages + 1;
+  pc.pes_per_cluster = cfg.stages + 1;
   w->platform = std::make_unique<sim::Platform>(*w->kernel, pc);
   w->app = std::make_unique<pedf::Application>(*w->platform, "wide");
   w->app->set_model_latencies(false);
@@ -116,7 +120,7 @@ inline std::unique_ptr<WideWorld> build_wide_world(
   const std::uint32_t spin = cfg.spin;
   for (int p = 0; p < cfg.pipelines; ++p) {
     root->add_port("in" + std::to_string(p), pedf::PortDir::kIn, u32);
-    for (int s = 0; s < wide_stages(cfg, p); ++s) {
+    for (int s = 0; s < cfg.stages; ++s) {
       auto* f = new pedf::FnFilter("s" + std::to_string(p) + "_" + std::to_string(s),
                                    [spin](pedf::FilterContext& pedf) {
                                      auto v = pedf.in("in").get_opt();
@@ -155,20 +159,18 @@ inline std::unique_ptr<WideWorld> build_wide_world(
 
   for (int p = 0; p < cfg.pipelines; ++p) {
     std::string lane = std::to_string(p);
-    const int stages = wide_stages(cfg, p);
     root->bind("this.in" + lane, "s" + lane + "_0.in");
-    for (int s = 1; s < stages; ++s)
+    for (int s = 1; s < cfg.stages; ++s)
       root->bind("s" + lane + "_" + std::to_string(s - 1) + ".out",
                  "s" + lane + "_" + std::to_string(s) + ".in");
-    root->bind("s" + lane + "_" + std::to_string(stages - 1) + ".out", "merge.in" + lane);
+    root->bind("s" + lane + "_" + std::to_string(cfg.stages - 1) + ".out", "merge.in" + lane);
   }
   root->bind("merge.out", "this.out");
   pedf::Application& app = *w->app;
   app.set_root(std::move(root));
 
   for (int p = 0; p < cfg.pipelines; ++p) {
-    const int stages = wide_stages(cfg, p);
-    for (int s = 0; s < stages; ++s)
+    for (int s = 0; s < cfg.stages; ++s)
       app.map_actor("top.s" + std::to_string(p) + "_" + std::to_string(s),
                     "c" + std::to_string(p) + "p" + std::to_string(s));
     std::uint32_t x = wide_payload_seed(cfg, p);
@@ -177,21 +179,18 @@ inline std::unique_ptr<WideWorld> build_wide_world(
     for (std::size_t j = 0; j < cfg.tokens; ++j) {
       x = wide_next(x);
       stream.push_back(pedf::Value::u32(x));
-      std::uint32_t v = x;
-      for (int s = 0; s < stages; ++s) v = stage_transform(v, cfg.spin);
-      w->expected_checksum += v;
     }
     app.add_host_source("src" + std::to_string(p), "top.in" + std::to_string(p),
                         std::move(stream));
   }
-  app.map_actor("top.merge", "c0p" + std::to_string(max_stages));
+  app.map_actor("top.merge", "c0p" + std::to_string(cfg.stages));
   w->expected_tokens = static_cast<std::uint64_t>(cfg.pipelines) * cfg.tokens;
   w->sink = &app.add_host_sink("snk", "top.out", static_cast<std::size_t>(w->expected_tokens));
 
   if (cfg.fixed_partitions) {
     const int K = w->kernel->partition_count();
     for (int p = 0; p < cfg.pipelines; ++p)
-      for (int s = 0; s < wide_stages(cfg, p); ++s)
+      for (int s = 0; s < cfg.stages; ++s)
         app.set_partition("top.s" + std::to_string(p) + "_" + std::to_string(s), p % K);
   }
   DFDBG_CHECK(app.elaborate().ok());
@@ -213,7 +212,8 @@ inline void run_wide_world(WideWorld& w) {
 }
 
 /// Order-independent checksum of what the sink saw; equal to
-/// expected_checksum on any backend iff every token arrived transformed once.
+/// wide_expected_checksum(cfg) on any backend iff every token arrived
+/// transformed once.
 inline std::uint64_t sink_checksum(const WideWorld& w) {
   std::uint64_t sum = 0;
   for (const pedf::Value& v : w.sink->received()) sum += v.as_u64();

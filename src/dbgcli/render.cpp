@@ -124,22 +124,21 @@ std::string render_text(const dbg::ProfileSnapshot& v) {
 
 std::string render_text(const dbg::ShardProfileView& v) {
   std::string out =
-      strformat("backend=%s workers=%d rounds=%llu elided=%llu records=%llu hwm=%llu\n",
-                v.backend.c_str(), v.workers, static_cast<ull>(v.rounds),
-                static_cast<ull>(v.elided_rounds), static_cast<ull>(v.records),
+      strformat("backend=%s workers=%d rounds=%llu records=%llu hwm=%llu\n", v.backend.c_str(),
+                v.workers, static_cast<ull>(v.rounds), static_cast<ull>(v.records),
                 static_cast<ull>(v.boundary_hwm));
   if (v.rows.empty()) {
     out += "  (no shard attribution: parallel backend only)\n";
     return out;
   }
-  out += strformat("%-8s %12s %8s %8s %8s %13s %13s %13s %13s %6s\n", "worker", "dispatches",
-                   "stalls", "skips", "eager", "work ns", "wait ns", "drain ns", "idle ns",
+  out += strformat("%-8s %12s %8s %8s %13s %13s %13s %13s %13s %6s\n", "worker", "dispatches",
+                   "stalls", "skips", "work ns", "cpu ns", "wait ns", "drain ns", "idle ns",
                    "util");
   for (const dbg::ShardRow& r : v.rows) {
-    out += strformat("%-8d %12llu %8llu %8llu %8llu %13llu %13llu %13llu %13llu %5.1f%%\n",
+    out += strformat("%-8d %12llu %8llu %8llu %13llu %13llu %13llu %13llu %13llu %5.1f%%\n",
                      r.partition, static_cast<ull>(r.dispatches),
                      static_cast<ull>(r.stalled_rounds), static_cast<ull>(r.skipped_wakes),
-                     static_cast<ull>(r.eager_drained), static_cast<ull>(r.work_ns),
+                     static_cast<ull>(r.work_ns), static_cast<ull>(r.cpu_ns),
                      static_cast<ull>(r.barrier_wait_ns), static_cast<ull>(r.drain_ns),
                      static_cast<ull>(r.idle_ns), r.utilization * 100.0);
   }

@@ -144,11 +144,11 @@ struct ShardRow {
   std::uint64_t dispatches = 0;
   std::uint64_t stalled_rounds = 0;
   std::uint64_t work_ns = 0;
+  std::uint64_t cpu_ns = 0;  ///< worker thread CPU time within work_ns
   std::uint64_t barrier_wait_ns = 0;
   std::uint64_t drain_ns = 0;
   std::uint64_t idle_ns = 0;
   std::uint64_t skipped_wakes = 0;  ///< rounds this worker slept through
-  std::uint64_t eager_drained = 0;  ///< tokens delivered by eager drains
   /// work / (work + barrier-wait + drain + idle); 0 when nothing recorded.
   double utilization = 0.0;
 };
@@ -159,7 +159,6 @@ struct ShardProfileView {
   std::string backend;  ///< active process backend spelling
   int workers = 1;
   std::uint64_t rounds = 0;        ///< barrier rounds completed
-  std::uint64_t elided_rounds = 0; ///< rounds that skipped the coordinator merge
   std::uint64_t records = 0;       ///< retained BarrierRoundRecords
   std::uint64_t boundary_hwm = 0;  ///< max boundary occupancy over records
   std::vector<ShardRow> rows;

@@ -448,10 +448,6 @@ void Application::prepare_partitions() {
     partition_of_[a->id().value()] = c < 0 ? 0 : c % K;
   }
 
-  // (1b) Adaptive policy: rewrite the defaults from the recorded load
-  // profile. Runs before the overrides so explicit set_partition still wins.
-  if (partition_policy_ == PartitionPolicy::kAdaptive) rebalance_partitions_adaptive(K);
-
   // (2) Explicit overrides. A module path stands for its controller and its
   // filters. `forced` remembers user intent so step 3 can tell a genuine
   // conflict from a default it is allowed to rewrite.
@@ -546,7 +542,6 @@ void Application::prepare_partitions() {
         break;
     }
   }
-  inbound_by_shard_.assign(static_cast<std::size_t>(K), {});
   for (const auto& l : links_) {
     const int ps = actor_partition(l->src()->owner());
     const int pd = actor_partition(l->dst()->owner());
@@ -559,8 +554,7 @@ void Application::prepare_partitions() {
     // consumer's pops — never waited on (the producer blocks on the
     // channel's own space event instead). Binding it to the consumer lets
     // those notifies coalesce locally instead of deferring a useless
-    // cross-partition wake every pop, which would force a barrier on every
-    // otherwise-elidable round.
+    // cross-partition wake every pop.
     l->space_avail().bind_partition(pd);
     std::size_t cap = l->capacity() == SIZE_MAX
                           ? BoundaryChannel::kDefaultSlots
@@ -568,37 +562,10 @@ void Application::prepare_partitions() {
     boundaries_.push_back(std::make_unique<BoundaryChannel>(*l, cap));
     boundaries_.back()->space_avail().bind_partition(ps);
     l->set_outbox(boundaries_.back().get());
-    inbound_by_shard_[static_cast<std::size_t>(pd)].push_back(boundaries_.back().get());
   }
   k.add_barrier_task([this] { return drain_boundaries(); });
-  if (!boundaries_.empty()) {
-    // Relaxed-synchrony integration (see boundary.hpp and docs/KERNEL.md):
-    // consumer shards drain published tokens during the round; the
-    // coordinator publishes/reclaims only on rounds with cross-partition
-    // effects and wakes only shards whose channels can deliver.
-    sim::Kernel::BoundaryHooks hooks;
-    hooks.eager_drain = [this](int p) { return eager_drain_boundaries(p); };
-    hooks.activity = [this] {
-      for (const auto& ch : boundaries_)
-        if (ch->has_unpublished()) return true;
-      return false;
-    };
-    hooks.publish = [this] { return publish_boundaries(); };
-    hooks.pending = [this](std::vector<std::uint8_t>& mask) {
-      for (std::size_t p = 0; p < inbound_by_shard_.size() && p < mask.size(); ++p) {
-        for (const BoundaryChannel* ch : inbound_by_shard_[p]) {
-          if (ch->eligible()) {
-            mask[p] = 1;
-            break;
-          }
-        }
-      }
-    };
-    k.set_boundary_hooks(std::move(hooks));
-  }
-  // Shard time attribution: the coordinator samples this every round —
-  // elided ones included — for the round record's boundary occupancy
-  // high-water mark.
+  // Shard time attribution: the coordinator samples this every round for
+  // the round record's boundary occupancy high-water mark.
   k.set_boundary_probe([this] {
     std::uint64_t hwm = 0;
     for (const auto& ch : boundaries_)
@@ -607,110 +574,10 @@ void Application::prepare_partitions() {
   });
 }
 
-std::map<std::string, std::uint64_t> Application::dispatch_profile() const {
-  std::map<std::string, std::uint64_t> out;
-  for (const Actor* a : actors_) {
-    if (a->kind() == ActorKind::kModule) continue;
-    const sim::Process* p = platform_.kernel().process_by_name(a->path());
-    if (p != nullptr) out[a->path()] = p->activation_count();
-  }
-  return out;
-}
-
-std::map<std::string, std::uint64_t> Application::dispatch_time_profile() const {
-  std::map<std::string, std::uint64_t> out;
-  for (const Actor* a : actors_) {
-    if (a->kind() == ActorKind::kModule) continue;
-    const sim::Process* p = platform_.kernel().process_by_name(a->path());
-    // Zero entries are omitted so an unobserved run yields an empty profile
-    // and kAdaptive falls back to the activation profile.
-    if (p != nullptr && p->consumed_wall_ns() != 0) out[a->path()] = p->consumed_wall_ns();
-  }
-  return out;
-}
-
-void Application::rebalance_partitions_adaptive(int workers) {
-  if (workers <= 1) return;
-  // Time-weighted LPT when a time profile is installed (observed fire
-  // nanoseconds close the loop better than activation counts when firings
-  // have uneven cost); activation-weighted otherwise.
-  const std::map<std::string, std::uint64_t>& profile =
-      partition_time_profile_.empty() ? partition_profile_ : partition_time_profile_;
-  if (profile.empty()) return;
-  // Atomic placement units mirror the constraints steps 3–4 validate: a
-  // module's controller and filters move together, and PE co-residents move
-  // together. Union-find over actor ids.
-  const std::size_t n = actors_.size();
-  std::vector<std::size_t> parent(n);
-  for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  auto unite = [&](std::size_t a, std::size_t b) { parent[find(a)] = find(b); };
-  for (Actor* a : actors_) {
-    if (a->kind() != ActorKind::kModule) continue;
-    auto* m = static_cast<Module*>(a);
-    Controller* c = m->controller();
-    if (c == nullptr) continue;
-    for (const auto& f : m->filters()) unite(f->id().value(), c->id().value());
-  }
-  std::map<sim::Pe*, std::size_t> pe_first;
-  for (Actor* a : actors_) {
-    if (a->kind() == ActorKind::kModule || a->pe() == nullptr) continue;
-    auto [it, fresh] = pe_first.emplace(a->pe(), a->id().value());
-    if (!fresh) unite(a->id().value(), it->second);
-  }
-  // Weigh each unit by its recorded load — fire nanoseconds or activations
-  // (actors missing from the profile weigh 1, so a stale profile still
-  // spreads them) — and place
-  // heaviest-first onto the least-loaded partition (LPT). Units enumerate in
-  // root-id order and every tie breaks on lowest id / lowest partition: the
-  // resulting map is a pure function of (graph, profile, worker count).
-  struct Unit {
-    std::uint64_t weight = 0;
-    std::vector<Actor*> members;  // actor-id order
-  };
-  std::map<std::size_t, Unit> units;  // root id -> unit
-  for (Actor* a : actors_) {
-    if (a->kind() == ActorKind::kModule) continue;
-    Unit& u = units[find(a->id().value())];
-    auto it = profile.find(a->path());
-    u.weight += it != profile.end() ? std::max<std::uint64_t>(it->second, 1) : 1;
-    u.members.push_back(a);
-  }
-  std::vector<const Unit*> order;
-  order.reserve(units.size());
-  for (const auto& [root, u] : units) order.push_back(&u);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Unit* a, const Unit* b) { return a->weight > b->weight; });
-  std::vector<std::uint64_t> load(static_cast<std::size_t>(workers), 0);
-  for (const Unit* u : order) {
-    int best = 0;
-    for (int p = 1; p < workers; ++p)
-      if (load[p] < load[best]) best = p;
-    load[best] += u->weight;
-    for (Actor* mem : u->members) partition_of_[mem->id().value()] = best;
-  }
-}
-
 bool Application::drain_boundaries() {
   bool progress = false;
   for (auto& ch : boundaries_) progress |= ch->drain(kernel());
   return progress;
-}
-
-std::size_t Application::eager_drain_boundaries(int partition) {
-  std::size_t moved = 0;
-  for (BoundaryChannel* ch : inbound_by_shard_[static_cast<std::size_t>(partition)])
-    moved += ch->drain_eligible(kernel());
-  return moved;
-}
-
-bool Application::publish_boundaries() {
-  bool woke = false;
-  for (auto& ch : boundaries_) woke |= ch->publish(kernel());
-  return woke;
 }
 
 void Application::spawn_filter_process(Filter* f) {

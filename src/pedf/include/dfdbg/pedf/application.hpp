@@ -103,56 +103,6 @@ class Application {
   /// Ignored by sequential kernels. Call before start().
   void set_partition(const std::string& path, int partition);
 
-  /// How start() computes the default partition map (explicit set_partition
-  /// overrides always win on top of either policy).
-  enum class PartitionPolicy {
-    kClusterModulo,  ///< default: PE cluster index modulo worker count
-    /// Rebalances from a recorded dispatch profile: atomic units — module
-    /// controller+filters merged with PE co-residents — are weighted by
-    /// observed load and placed greedily, heaviest first, onto the
-    /// least-loaded partition (LPT). A time profile
-    /// (set_partition_time_profile, typically dispatch_time_profile() of an
-    /// observed previous run) takes precedence; otherwise the activation
-    /// profile (set_partition_profile) is used. Deterministic for a given
-    /// profile; with no profile installed it degrades to kClusterModulo.
-    kAdaptive,
-  };
-  void set_partition_policy(PartitionPolicy p) {
-    DFDBG_CHECK_MSG(!started_, "set_partition_policy after start");
-    partition_policy_ = p;
-  }
-  [[nodiscard]] PartitionPolicy partition_policy() const { return partition_policy_; }
-
-  /// Observed per-actor load of this run: path -> process activation count.
-  /// Deterministic (activations are part of the schedule, not wall time);
-  /// feed it to set_partition_profile() on a fresh instance to rebalance.
-  [[nodiscard]] std::map<std::string, std::uint64_t> dispatch_profile() const;
-
-  /// Installs the load profile the kAdaptive policy partitions against.
-  /// Call before start(); actors absent from the map weigh 1.
-  void set_partition_profile(std::map<std::string, std::uint64_t> profile) {
-    DFDBG_CHECK_MSG(!started_, "set_partition_profile after start");
-    partition_profile_ = std::move(profile);
-  }
-
-  /// Observed per-actor fire time of this run: path -> wall nanoseconds the
-  /// actor's process spent inside its dispatches. Accumulated only on the
-  /// parallel backend while obs::enabled() (empty otherwise); a measurement,
-  /// not part of the schedule — feed it to set_partition_time_profile() on a
-  /// fresh instance to rebalance by time instead of activation count.
-  [[nodiscard]] std::map<std::string, std::uint64_t> dispatch_time_profile() const;
-
-  /// Installs the time profile the kAdaptive policy prefers over the
-  /// activation profile (time-weighted LPT: sim.worker.N.work_ns closes the
-  /// loop instead of activation counts). Call before start(); actors absent
-  /// from the map weigh 1. The placement is a pure function of (graph,
-  /// profile, worker count) — but a *measured* profile varies run to run, so
-  /// pin the profile itself when byte-stable schedules matter.
-  void set_partition_time_profile(std::map<std::string, std::uint64_t> profile) {
-    DFDBG_CHECK_MSG(!started_, "set_partition_time_profile after start");
-    partition_time_profile_ = std::move(profile);
-  }
-
   /// Partition the actor's process runs in (0 on sequential backends).
   [[nodiscard]] int actor_partition(const Actor& a) const {
     return a.id().value() < partition_of_.size() ? partition_of_[a.id().value()] : 0;
@@ -273,21 +223,10 @@ class Application {
   /// every runtime event to its waiting partition, builds the boundary
   /// channels and registers the barrier drain.
   void prepare_partitions();
-  /// kAdaptive: overwrites the cluster-modulo defaults in partition_of_ with
-  /// the LPT placement computed from partition_time_profile_ (preferred)
-  /// or partition_profile_.
-  void rebalance_partitions_adaptive(int workers);
   /// The kernel *full-barrier* task (quiescence fallback and debug stops):
-  /// fully drains every boundary channel in link order. Ordinary rounds move
-  /// boundary tokens through the relaxed-synchrony hooks instead
-  /// (eager_drain_boundaries / publish_boundaries; see boundary.hpp).
+  /// fully drains every boundary channel in link order — the only place
+  /// boundary tokens move (see boundary.hpp).
   bool drain_boundaries();
-  /// Consumer-shard eager drain: delivers published tokens on `partition`'s
-  /// inbound channels, in link order. Returns tokens delivered.
-  std::size_t eager_drain_boundaries(int partition);
-  /// Coordinator publish: snapshots every channel, reclaims slots, wakes
-  /// blocked producers. Returns true when a producer was woken.
-  bool publish_boundaries();
   void spawn_filter_process(Filter* f);
   void spawn_controller_process(Controller* c, Module* m);
 
@@ -312,13 +251,7 @@ class Application {
   // map is ordered so conflicting-override diagnostics are deterministic.
   std::map<std::string, int> partition_override_;  // path/name -> partition
   std::vector<int> partition_of_;                  // by ActorId value
-  PartitionPolicy partition_policy_ = PartitionPolicy::kClusterModulo;
-  std::map<std::string, std::uint64_t> partition_profile_;       // path -> activations
-  std::map<std::string, std::uint64_t> partition_time_profile_;  // path -> fire ns
   std::vector<std::unique_ptr<BoundaryChannel>> boundaries_;
-  /// boundaries_ grouped by consumer partition, each group in link-id order
-  /// (the eager-drain order; built in prepare_partitions).
-  std::vector<std::vector<BoundaryChannel*>> inbound_by_shard_;
   ApiSymbols syms_;
   bool elaborated_ = false;
   bool started_ = false;

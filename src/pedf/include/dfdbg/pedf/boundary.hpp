@@ -3,39 +3,18 @@
 // A Link whose producer and consumer live in different partitions cannot be
 // mutated from both sides: all link state (ring, indexes, events) belongs to
 // the *consumer's* partition. Instead the producer enqueues {value, uid}
-// pairs into a BoundaryChannel — a lock-free single-producer/single-consumer
-// ring. Two monotonic counters index it: `sent_` (advanced by the producing
-// worker with a release store) and `delivered_` (advanced by the consuming
-// worker as it moves tokens into the link). On top of the SPSC ring sits the
-// deterministic round protocol:
+// pairs into a BoundaryChannel, a bounded ring indexed by two monotonic
+// counters: `sent_` (advanced by the producing worker during a round) and
+// `delivered_` (advanced only by the coordinator's drain, between rounds).
 //
-//   publish (coordinator, between rounds): snapshots `sent_` into `limit_`
-//     and `delivered_` into `freed_`. Both snapshots are plain fields — only
-//     the coordinator writes them, and the round handshake's mutex orders
-//     them against both workers.
-//   eager drain (consumer shard, during a round): delivers tokens strictly
-//     below `limit_` into the link, in channel order, waking local
-//     data_avail waiters immediately. Because eligibility is bounded by the
-//     coordinator's snapshot — not by the live `sent_` — the delivered set
-//     is a pure function of the round number, independent of worker timing:
-//     run-to-run determinism survives the missing barrier.
-//   producer flow control: full() compares `sent_` against the snapshot
-//     `freed_`, not the live `delivered_`, for the same reason; a producer
-//     blocks on space_avail() and the coordinator wakes it at publish when
-//     slots were reclaimed.
-//
-// Tokens therefore traverse a boundary with one round of latency (publish)
-// instead of parking until the coordinator serially drained every ring, and
-// per-link FIFO order — the Kahn-network property every determinism argument
-// rests on — is preserved by construction. drain() remains the coordinator's
-// full drain, used at quiescence and on debug stops.
-//
-// Slot safety: the consumer reads slots in [delivered_, limit_) while the
-// producer writes slots in [sent_, freed_ + capacity); limit_ <= sent_ and
-// freed_ <= delivered_, and the physical ring holds >= capacity slots, so
-// the two ranges never alias modulo the ring size. The raw spsc_send /
-// spsc_take surface (used by the TSan stress test) instead synchronizes
-// purely through the acquire/release counters, classic SPSC style.
+// Tokens move into the link only in drain(), which the coordinator runs at
+// global quiescence and on debug stops (the kernel's full barrier). During a
+// round the producer sees a `delivered_` that cannot change under it, so
+// full() — and with it every producer block — is a pure function of the
+// schedule; the round handshake's mutex orders the producer's sends before
+// the coordinator's drain and the drain before the next round. Per-link FIFO
+// order, the Kahn-network property every determinism argument rests on, is
+// preserved by construction.
 //
 // Provenance: the producer allocates the token uid from its own shard
 // journal (disjoint per-partition id ranges) and records the kTokenPush
@@ -83,10 +62,11 @@ class BoundaryChannel {
     return static_cast<std::size_t>(sent_.load(std::memory_order_acquire) -
                                     delivered_.load(std::memory_order_acquire));
   }
-  /// Producer-side: full against the coordinator's `freed_` snapshot (not
-  /// the live consumer index — see the determinism note above).
+  /// Producer-side: no slot left until the coordinator's next drain.
   [[nodiscard]] bool full() const {
-    return sent_.load(std::memory_order_relaxed) - freed_ >= capacity_;
+    return sent_.load(std::memory_order_relaxed) -
+               delivered_.load(std::memory_order_relaxed) >=
+           capacity_;
   }
   /// Tokens ever accepted == the producer-side push index sequence.
   [[nodiscard]] std::uint64_t sent() const { return sent_.load(std::memory_order_relaxed); }
@@ -99,52 +79,15 @@ class BoundaryChannel {
   /// Returns the token's producer-side index (== its eventual push index).
   std::uint64_t send(Value v, std::uint64_t uid);
 
-  /// Producers blocked on a full channel wait here; the coordinator
-  /// notifies at publish after reclaiming slots. Bound to the producer's
-  /// partition.
+  /// Producers blocked on a full channel wait here; the coordinator's drain
+  /// notifies once it freed slots. Bound to the producer's partition.
   [[nodiscard]] sim::Event& space_avail() { return space_event_; }
 
-  // --- deterministic round protocol (see file comment) ----------------------
-
-  /// Coordinator, between rounds: makes every token sent so far eligible for
-  /// the consumer's eager drain, reclaims consumed slots for the producer,
-  /// and wakes a producer blocked on space. Returns true when a blocked
-  /// producer was woken (progress for the run loop).
-  bool publish(sim::Kernel& kernel);
-
-  /// Consumer shard (or coordinator): delivers eligible tokens — strictly
-  /// below the published limit — into the link while it has room, then wakes
-  /// local data_avail waiters. Returns tokens delivered.
-  std::size_t drain_eligible(sim::Kernel& kernel);
-
-  /// Coordinator: does the channel hold movement the last publish has not
-  /// seen (unpublished sends, or consumed slots not yet reclaimed)?
-  [[nodiscard]] bool has_unpublished() const {
-    return sent_.load(std::memory_order_relaxed) != limit_ ||
-           delivered_.load(std::memory_order_relaxed) != freed_;
-  }
-
-  /// Coordinator: can the consumer's eager drain deliver at least one token
-  /// right now (published backlog and link room)?
-  [[nodiscard]] bool eligible() const {
-    return delivered_.load(std::memory_order_relaxed) != limit_ && link_has_room();
-  }
-
-  /// Coordinator: full drain — publish + deliver everything possible + wake
-  /// both sides. Used at quiescence and on debug stops so the debugger sees
-  /// no token parked invisibly behind a stale snapshot. Returns true when
-  /// any token moved or a blocked producer was woken.
+  /// Coordinator: delivers every pending token the link has room for, in
+  /// channel order, and wakes both sides. Used at quiescence and on debug
+  /// stops, so the debugger never sees a token parked in a channel that could
+  /// have moved. Returns true when any token moved.
   bool drain(sim::Kernel& kernel);
-
-  // --- raw SPSC surface (two-thread stress tests; not used by the kernel) ---
-  // Synchronizes purely through the acquire/release counters; must not be
-  // mixed with the snapshot protocol above on the same channel instance.
-
-  /// Producer thread: enqueue, bounded by the live consumer index.
-  /// Returns false when full.
-  bool spsc_send(Value v, std::uint64_t uid);
-  /// Consumer thread: dequeue the oldest token. Returns false when empty.
-  bool spsc_take(Value& v, std::uint64_t& uid);
 
  private:
   struct Slot {
@@ -152,22 +95,16 @@ class BoundaryChannel {
     std::uint64_t uid = 0;
   };
 
-  [[nodiscard]] bool link_has_room() const;
-
   Link* link_;
   std::size_t capacity_;
   std::uint64_t mask_;
   std::vector<Slot> ring_;
   /// Producer-owned (release store per send); read by the coordinator
-  /// between rounds and by the raw-SPSC consumer.
+  /// between rounds.
   std::atomic<std::uint64_t> sent_{0};
-  /// Consumer-owned (release store per delivery); read by the coordinator
-  /// between rounds and by the raw-SPSC producer.
+  /// Coordinator-owned (release store per delivery); read by the producer's
+  /// full() during rounds, when it cannot change.
   std::atomic<std::uint64_t> delivered_{0};
-  /// Coordinator-written snapshots (round-handshake ordered): the consumer
-  /// drains below limit_; the producer's full() measures against freed_.
-  std::uint64_t limit_ = 0;
-  std::uint64_t freed_ = 0;
   sim::Event space_event_;
 };
 

@@ -87,14 +87,12 @@ struct BarrierRoundRecord {
   std::uint64_t wall_ns = 0;      ///< workers woken -> barrier flushed
   std::uint64_t drain_ns = 0;     ///< coordinator portion: journal merge + notifies + boundary drains
   std::uint64_t boundary_hwm = 0; ///< max boundary-channel occupancy sampled at the barrier
-  bool elided = false;            ///< no cross-partition effects: coordinator skipped the barrier
   struct PartitionDelta {
     std::uint64_t dispatches = 0; ///< dispatches this shard executed this round
     std::uint64_t work_ns = 0;    ///< worker-measured time draining its ready queue
     std::uint64_t wait_ns = 0;    ///< barrier-wait: blocked on slower shards
-    std::uint64_t eager = 0;      ///< boundary tokens this shard eager-drained this round
     bool stalled = false;         ///< woken with nothing to run (load-imbalance signal)
-    bool skipped = false;         ///< not woken: no local work could progress this round
+    bool skipped = false;         ///< not woken: empty ready queue this round
   };
   std::vector<PartitionDelta> partitions;  ///< one entry per partition, in order
 };
@@ -204,47 +202,20 @@ class Kernel {
   }
 
   /// Parallel backend: registers a function the coordinator invokes at a
-  /// *full* barrier — the global-quiescence fallback (no shard can progress
-  /// at the current virtual time) and the barrier of a debug-stop round —
-  /// after deferred notifies flush, before virtual time advances. Returns
-  /// true when it made progress (delivered tokens, woke a process), which
-  /// triggers another delta round at the same virtual time. The pedf runtime
-  /// registers its full boundary-ring drain here; ordinary rounds move
-  /// boundary tokens through the relaxed-synchrony path (BoundaryHooks)
-  /// instead. Tasks run in registration order; register before the first
-  /// run().
+  /// *full* barrier — global quiescence (no shard can progress at the
+  /// current virtual time) and the barrier of a debug-stop round — after
+  /// deferred notifies flush, before virtual time advances. Returns true when
+  /// it made progress (delivered tokens, woke a process), which triggers
+  /// another round at the same virtual time. The pedf runtime registers its
+  /// boundary-channel drain here: the only place boundary tokens move. Tasks
+  /// run in registration order; register before the first run().
   void add_barrier_task(std::function<bool()> task);
-
-  /// Parallel backend: the boundary-transport integration points of the
-  /// relaxed-synchrony round protocol (see pedf/boundary.hpp). All optional;
-  /// the pedf runtime installs them when partition-crossing links exist.
-  struct BoundaryHooks {
-    /// Worker context, during a round: the given partition drains its
-    /// inbound channels' *published* tokens, in link order, waking local
-    /// waiters. Returns tokens delivered.
-    std::function<std::size_t(int partition)> eager_drain;
-    /// Coordinator: does any channel hold movement the last publish has not
-    /// seen (unpublished sends, or consumed slots not yet reclaimed)?
-    std::function<bool()> activity;
-    /// Coordinator: snapshot send indices for the next round's eager drains,
-    /// reclaim consumed slots, wake producers blocked on space. Returns true
-    /// when a blocked producer was woken.
-    std::function<bool()> publish;
-    /// Coordinator: set mask[p] nonzero for partitions whose inbound
-    /// channels can deliver at least one token right now (published backlog
-    /// and link room) — those shards join the round even with empty ready
-    /// queues.
-    std::function<void(std::vector<std::uint8_t>&)> pending;
-  };
-  void set_boundary_hooks(BoundaryHooks hooks) { boundary_hooks_ = std::move(hooks); }
 
   /// Parallel backend: barrier rounds completed so far (0 otherwise).
   [[nodiscard]] std::uint64_t round_count() const { return rounds_; }
 
-  /// Parallel backend: rounds whose coordinator barrier was skipped entirely
-  /// (no cross-partition effects: no boundary traffic, no deferred notifies,
-  /// no debug stop). Counted regardless of obs state.
-  [[nodiscard]] std::uint64_t elided_round_count() const { return elided_rounds_; }
+  /// Always 0: every round now ends in a full barrier (kept for reporters).
+  [[nodiscard]] std::uint64_t elided_round_count() const { return 0; }
 
   // --- Shard time attribution (parallel backend; docs/OBSERVABILITY.md) ----
 
@@ -252,20 +223,21 @@ class Kernel {
   /// profiler: work (draining the shard's ready queue), barrier-wait
   /// (blocked on slower shards), drain (coordinator barrier work: journal
   /// merge, deferred notifies, boundary rings) and idle (between rounds:
-  /// virtual-time advance / quiescence checks). Zero unless obs was enabled
-  /// while running.
+  /// virtual-time advance / quiescence checks), plus the worker thread's CPU
+  /// time over the same spans as work (CLOCK_THREAD_CPUTIME_ID: work_ns
+  /// minus cpu_ns is time off-CPU, e.g. runnable but descheduled). Zero
+  /// unless obs was enabled while running.
   struct ShardTotals {
     std::uint64_t dispatches = 0;
     std::uint64_t stalled_rounds = 0;  ///< rounds woken with an empty ready queue
     std::uint64_t work_ns = 0;
+    std::uint64_t cpu_ns = 0;
     std::uint64_t barrier_wait_ns = 0;
     std::uint64_t drain_ns = 0;
     std::uint64_t idle_ns = 0;
-    /// Rounds this shard stayed parked through (sparse wakes). Counted
+    /// Rounds this shard stayed parked through (empty ready queue). Counted
     /// regardless of obs state, like dispatches.
     std::uint64_t skipped_wakes = 0;
-    /// Boundary tokens this shard eager-drained from its inbound channels.
-    std::uint64_t eager_drained = 0;
   };
   [[nodiscard]] ShardTotals shard_totals(int partition) const;
 
@@ -351,33 +323,31 @@ class Kernel {
     obs::Counter* m_dispatches = nullptr;   ///< sim.worker.<i>.dispatch
     std::thread thread;
 
-    // Sparse wakes: the coordinator wakes only shards that can progress this
-    // round; the rest stay parked on their own condition variable. `wake`
-    // and `participant` are coordinator-written under round_mu_ (the worker
-    // clears `wake` when it takes a round); `skipped_wakes` is
-    // coordinator-only; `round_eager`/`eager_total` are worker-written,
-    // coordinator-read across the round handshake.
+    // The coordinator wakes only shards with ready work; the rest stay parked
+    // on their own condition variable. `wake` and `participant` are
+    // coordinator-written under round_mu_ (the worker clears `wake` when it
+    // takes a round); `skipped_wakes` is coordinator-only.
     std::condition_variable cv;   ///< this worker's round-wake channel
     bool wake = false;            ///< a round is pending for this shard
     bool participant = false;     ///< coordinator scratch: woken this round
-    std::uint64_t round_eager = 0;   ///< boundary tokens eager-drained, this round
-    std::uint64_t eager_total = 0;   ///< cumulative eager-drained tokens
     std::uint64_t skipped_wakes = 0; ///< rounds this shard stayed parked through
     obs::Counter* m_skipped = nullptr; ///< sim.worker.<i>.skipped_wakes
-    obs::Counter* m_eager = nullptr;   ///< sim.worker.<i>.eager_drained
 
-    // Shard time attribution. The worker writes the two round-scratch fields
+    // Shard time attribution. The worker writes the round-scratch fields
     // before re-parking (ordered before the coordinator's read by round_mu_);
     // everything else is coordinator-only. Clock reads are obs-gated; the
-    // scratch writes are two unconditional u64 stores per round.
+    // scratch writes are three unconditional u64 stores per round.
     std::uint64_t round_work_ns = 0;    ///< worker-measured drain time, this round
+    std::uint64_t round_cpu_ns = 0;     ///< worker thread CPU time, this round
     std::uint64_t round_dispatches = 0; ///< dispatch delta, this round
     std::uint64_t work_ns_total = 0;
+    std::uint64_t cpu_ns_total = 0;
     std::uint64_t wait_ns_total = 0;
     std::uint64_t drain_ns_total = 0;
     std::uint64_t idle_ns_total = 0;
     std::uint64_t stalled_rounds = 0;
     obs::Counter* m_work_ns = nullptr;     ///< sim.worker.<i>.work_ns
+    obs::Counter* m_cpu_ns = nullptr;      ///< sim.worker.<i>.cpu_ns
     obs::Counter* m_wait_ns = nullptr;     ///< sim.worker.<i>.barrier_wait_ns
     obs::Counter* m_drain_ns = nullptr;    ///< sim.worker.<i>.drain_ns
     obs::Counter* m_idle_ns = nullptr;     ///< sim.worker.<i>.idle_ns
@@ -424,7 +394,7 @@ class Kernel {
   /// Attribution bookkeeping for one completed round: t0 = workers woken,
   /// t1 = workers quiescent, t2 = barrier flushed (all mono_ns).
   void record_round(std::uint64_t t0, std::uint64_t t1, std::uint64_t t2,
-                    std::uint64_t boundary_hwm, bool elided);
+                    std::uint64_t boundary_hwm);
 
   ProcessBackend backend_;
   bool parallel_ = false;
@@ -450,14 +420,12 @@ class Kernel {
   obs::Journal* journal_base_ = nullptr;  ///< journal shards delegate/merge here
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::function<bool()>> barrier_tasks_;
-  BoundaryHooks boundary_hooks_;
   std::uint64_t rounds_ = 0;
-  std::uint64_t elided_rounds_ = 0;
   std::atomic<bool> stop_flag_{false};  ///< some shard requested a debug stop
   std::mutex spawn_mu_;                 ///< serializes mid-run spawns from workers
-  // Round handshake: coordinator bumps round_gen_, sets the participating
-  // shards' wake flags (each worker parks on its own Shard::cv — sparse
-  // wakes), and waits for workers_running_ to fall back to zero; the mutex
+  // Round handshake: the coordinator sets the participating shards' wake
+  // flags (each worker parks on its own Shard::cv), and waits for
+  // workers_running_ to fall back to zero; the mutex
   // carries the happens-before edges between coordinator and workers each
   // round, for participants and skipped shards alike.
   std::mutex round_mu_;

@@ -1,14 +1,15 @@
-// Tests of the lock-free SPSC BoundaryChannel behind partition-crossing
-// links: the deterministic publish/eager-drain round protocol (coordinator
-// snapshots bound what the consumer may deliver and what the producer may
-// count as freed), ring wraparound far past the physical slot count, uid
-// preservation end to end, and the raw acquire/release SPSC surface under a
-// genuinely concurrent producer/consumer pair (the TSan gate runs that one
-// with -fsanitize=thread; see scripts/check_build.sh).
+// Tests of the BoundaryChannel behind partition-crossing links: producer
+// flow control against the coordinator's drain (slots free only when the
+// drain delivers), ring wraparound far past the physical slot count, uid
+// preservation end to end, and the round handshake between a producing and
+// a draining thread (the TSan gate runs that one with -fsanitize=thread; see
+// scripts/check_build.sh).
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -23,13 +24,13 @@ namespace {
 
 Link make_link() { return Link(LinkId(0), "t", TypeDesc(ScalarType::kU32), nullptr, nullptr); }
 
-// --- deterministic round protocol -------------------------------------------
+// --- drain protocol --------------------------------------------------------
 
 // Randomized single-threaded model check, driven through the same protocol
-// the kernel uses: producer sends until the snapshot says full, coordinator
-// publishes between "rounds", consumer eager-drains below the limit and pops
-// from the link. A shadow FIFO carries every (value, uid) pair; thousands of
-// cycles over an 8-slot channel force many wraps of the physical ring.
+// the kernel uses: the producer sends until full, the coordinator drains
+// between "rounds", the consumer pops from the link. A shadow FIFO carries
+// every (value, uid) pair; thousands of cycles over an 8-slot channel force
+// many wraps of the physical ring.
 TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
   sim::Kernel k;
   Link l = make_link();
@@ -42,13 +43,13 @@ TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
   std::deque<std::pair<std::uint32_t, std::uint64_t>> shadow;  // in flight
   std::uint32_t next_val = 0;
   std::uint64_t next_uid = 1000;
-  std::uint64_t sent = 0, delivered = 0, popped = 0;
+  std::uint64_t sent = 0, popped = 0;
 
   for (int step = 0; step < 20000; ++step) {
-    switch (rng.next_below(4)) {
-      case 0: {  // producer: send if the snapshot allows it
+    switch (rng.next_below(3)) {
+      case 0: {  // producer: send unless full
         if (ch.full()) {
-          EXPECT_GE(ch.sent() - delivered + l.occupancy(), 0u);
+          EXPECT_EQ(ch.pending(), ch.capacity());
           break;
         }
         const std::uint32_t v = next_val++;
@@ -58,14 +59,10 @@ TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
         sent++;
         break;
       }
-      case 1: {  // coordinator: end-of-round publish
-        ch.publish(k);
-        break;
-      }
-      case 2: {  // consumer shard: eager drain below the published limit
-        const std::size_t moved = ch.drain_eligible(k);
-        delivered += moved;
-        EXPECT_EQ(ch.delivered(), delivered);
+      case 1: {  // coordinator: barrier drain
+        const std::uint64_t before = ch.delivered();
+        const bool moved = ch.drain(k);
+        EXPECT_EQ(moved, ch.delivered() != before);
         break;
       }
       default: {  // consumer process: pop delivered tokens off the link
@@ -83,7 +80,7 @@ TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
     // Conservation: every token is exactly one of queued-in-ring,
     // delivered-into-link, or popped.
     EXPECT_EQ(ch.pending() + l.occupancy() + popped, sent);
-    EXPECT_LE(ch.sent() - ch.delivered(), ch.slot_count());
+    EXPECT_LE(ch.sent() - ch.delivered(), ch.capacity());
   }
   // Drain the tail: everything still in flight comes out in order.
   ch.drain(k);
@@ -101,55 +98,40 @@ TEST(BoundaryRing, RandomizedModelWraparoundFifoAndUids) {
   EXPECT_GT(sent, ch.slot_count() * 100) << "the ring must have wrapped many times";
 }
 
-// The determinism contract itself: tokens sent after a publish are invisible
-// to the consumer until the next publish (the delivered set is bounded by the
-// coordinator's snapshot, not by live producer progress), and slots consumed
-// by the consumer are invisible to the producer's full() until a publish
-// reclaims them.
-TEST(BoundaryRing, SnapshotsBoundVisibilityAndReclaim) {
+// Flow control: a full channel stays full until a drain delivers, and the
+// drain delivers only what the link has room for — the rest stays queued,
+// in order, for the next drain.
+TEST(BoundaryRing, SlotsFreeOnlyWhenTheDrainDelivers) {
   sim::Kernel k;
-  Link l = make_link();  // unbounded link: only the channel limits flow
+  Link l = make_link();
+  l.set_capacity(2);
   BoundaryChannel ch(l, 4);
-
-  // Sends before any publish: nothing is eligible.
-  ch.send(Value::u32(1), 11);
-  ch.send(Value::u32(2), 12);
-  EXPECT_FALSE(ch.eligible());
-  EXPECT_EQ(ch.drain_eligible(k), 0u);
-  EXPECT_TRUE(ch.has_unpublished());
-
-  ch.publish(k);
-  EXPECT_TRUE(ch.eligible());
-  // A send racing in after the publish is not part of this round's set.
-  ch.send(Value::u32(3), 13);
-  EXPECT_EQ(ch.drain_eligible(k), 2u);
-  EXPECT_EQ(l.occupancy(), 2u);
-  EXPECT_FALSE(ch.eligible()) << "token 3 must wait for the next publish";
-
-  // Fill to the logical capacity: full() measures against freed_, so the
-  // two delivered-but-unreclaimed slots still count.
-  ch.send(Value::u32(4), 14);
+  for (std::uint32_t i = 0; i < 4; ++i) ch.send(Value::u32(i), 11 + i);
   EXPECT_TRUE(ch.full());
-  ch.publish(k);  // reclaims the two delivered slots, publishes 3 and 4
+  EXPECT_TRUE(ch.drain(k));
+  EXPECT_EQ(l.occupancy(), 2u) << "the link bounds what one drain delivers";
+  EXPECT_EQ(ch.pending(), 2u);
   EXPECT_FALSE(ch.full());
-  EXPECT_EQ(ch.drain_eligible(k), 2u);
+  ch.send(Value::u32(4), 15);
+  ch.send(Value::u32(5), 16);
+  EXPECT_TRUE(ch.full());
+  // Pops make link room but free no channel slot; the next drain does.
+  l.pop_raw();
+  l.pop_raw();
+  EXPECT_TRUE(ch.full());
+  EXPECT_TRUE(ch.drain(k));
   std::vector<std::uint64_t> uids;
   while (!l.empty()) {
     uids.push_back(l.token_uid_at(0));
     l.pop_raw();
+    ch.drain(k);
   }
-  EXPECT_EQ(uids, (std::vector<std::uint64_t>{11, 12, 13, 14}));
-  // The last deliveries still await slot reclaim — an "unpublished" effect
-  // the coordinator must see (it keeps the round from eliding) until one
-  // more publish absorbs it.
-  EXPECT_TRUE(ch.has_unpublished());
-  ch.publish(k);
-  EXPECT_FALSE(ch.has_unpublished());
+  EXPECT_EQ(uids, (std::vector<std::uint64_t>{13, 14, 15, 16}));
+  EXPECT_EQ(ch.pending(), 0u);
 }
 
-// drain() is the full coordinator drain used at quiescence and debug stops:
-// one call makes everything sent so far visible, regardless of snapshots.
-TEST(BoundaryRing, FullDrainBypassesStaleSnapshots) {
+// One drain into an unbounded link moves everything sent so far.
+TEST(BoundaryRing, DrainDeliversEverythingSent) {
   sim::Kernel k;
   Link l = make_link();
   BoundaryChannel ch(l, 8);
@@ -157,7 +139,6 @@ TEST(BoundaryRing, FullDrainBypassesStaleSnapshots) {
   EXPECT_TRUE(ch.drain(k));
   EXPECT_EQ(l.occupancy(), 5u);
   EXPECT_EQ(ch.pending(), 0u);
-  EXPECT_FALSE(ch.has_unpublished());
   EXPECT_FALSE(ch.drain(k)) << "a second drain has nothing to move";
 }
 
@@ -175,63 +156,58 @@ TEST(BoundaryRing, NonPowerOfTwoCapacity) {
     ch.send(Value::u32(i), i);
   }
   EXPECT_TRUE(ch.full());
-  ch.publish(k);
-  EXPECT_EQ(ch.drain_eligible(k), 5u);
+  EXPECT_TRUE(ch.drain(k));
+  EXPECT_EQ(l.occupancy(), 5u);
 }
 
-// --- raw SPSC surface --------------------------------------------------------
+// --- round handshake ----------------------------------------------------------
 
-// Single-threaded edges of the acquire/release surface: full and empty are
-// reported (not asserted), and order/uids survive wraparound.
-TEST(BoundaryRing, SpscSingleThreadEdges) {
-  Link l = make_link();
-  BoundaryChannel ch(l, 4);
-  Value v;
-  std::uint64_t uid = 0;
-  EXPECT_FALSE(ch.spsc_take(v, uid)) << "empty ring must refuse";
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    for (std::uint32_t i = 0; i < 4; ++i)
-      EXPECT_TRUE(ch.spsc_send(Value::u32(cycle * 4 + i), 900 + cycle * 4 + i));
-    EXPECT_FALSE(ch.spsc_send(Value::u32(0), 0)) << "full ring must refuse";
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      ASSERT_TRUE(ch.spsc_take(v, uid));
-      EXPECT_EQ(v.as_u64(), static_cast<std::uint64_t>(cycle) * 4 + i);
-      EXPECT_EQ(uid, 900u + static_cast<std::uint64_t>(cycle) * 4 + i);
-    }
-    EXPECT_FALSE(ch.spsc_take(v, uid));
-  }
-}
-
-// Two genuinely concurrent threads hammer the ring through the raw surface —
-// the test the TSan suite builds with -fsanitize=thread to prove the
-// acquire/release counter protocol has no data race. Functionally it also
-// pins lossless in-order delivery under arbitrary interleavings.
-TEST(BoundaryRing, SpscTwoThreadStress) {
+// A producer thread sends during its "round" until the channel is full; a
+// coordinator thread drains and pops between rounds. The two alternate
+// through a mutex, as the kernel's worker and coordinator do, so the plain
+// ring slots are handed over only through that ordering — the test the TSan
+// gate builds with -fsanitize=thread. Functionally it pins lossless in-order
+// delivery across many wraps.
+TEST(BoundaryRing, RoundHandshakeTwoThreads) {
+  sim::Kernel k;
   Link l = make_link();
   BoundaryChannel ch(l, 16);
-  constexpr std::uint32_t kTokens = 200000;
+  constexpr std::uint32_t kTokens = 50000;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool producer_turn = true;
   std::thread producer([&] {
     for (std::uint32_t i = 0; i < kTokens;) {
-      if (ch.spsc_send(Value::u32(i), 1u + i))
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&] { return producer_turn; });
+      lk.unlock();
+      while (i < kTokens && !ch.full()) {
+        ch.send(Value::u32(i), 1u + i);
         ++i;
-      else
-        std::this_thread::yield();
+      }
+      lk.lock();
+      producer_turn = false;
+      cv.notify_one();
     }
   });
   std::uint64_t mismatches = 0;
-  Value v;
-  std::uint64_t uid = 0;
   for (std::uint32_t i = 0; i < kTokens;) {
-    if (ch.spsc_take(v, uid)) {
-      if (v.as_u64() != i || uid != 1u + i) mismatches++;
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return !producer_turn; });
+    lk.unlock();
+    ch.drain(k);
+    while (!l.empty()) {
+      const std::uint64_t uid = l.token_uid_at(0);
+      if (l.pop_raw().as_u64() != i || uid != 1u + i) mismatches++;
       ++i;
-    } else {
-      std::this_thread::yield();
     }
+    lk.lock();
+    producer_turn = true;
+    cv.notify_one();
   }
   producer.join();
   EXPECT_EQ(mismatches, 0u);
-  EXPECT_FALSE(ch.spsc_take(v, uid)) << "no token may be left behind";
+  EXPECT_EQ(ch.pending(), 0u) << "no token may be left behind";
 }
 
 }  // namespace

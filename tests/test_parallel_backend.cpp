@@ -9,12 +9,13 @@
 //     token ids, per-partition barrier order).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <deque>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -230,7 +231,7 @@ TEST(ParallelWide, FifoAcrossPartitionBoundaries) {
       for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(static_cast<std::uint32_t>(got[i].as_u64()), expected[i])
             << "slot " << i << " seed=" << seed << " workers=" << workers;
-      EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
+      EXPECT_EQ(benchutil::sink_checksum(*w), benchutil::wide_expected_checksum(cfg));
     }
   }
 }
@@ -269,6 +270,17 @@ TEST(ParallelWide, DispatchTranscriptRunToRunDeterministic) {
     EXPECT_GT(first.size(), 0u);
     EXPECT_EQ(first, second) << "workers=" << workers;
   }
+}
+
+// The same at K=8, which oversubscribes a 4-core host: the stress case for
+// the round handshake.
+TEST(ParallelWide, DeterministicTranscriptAtK8) {
+  EnabledGuard on(true);
+  JournalGuard jg;
+  std::string first = wide_journal_transcript(8);
+  std::string second = wide_journal_transcript(8);
+  EXPECT_GT(first.size(), 0u);
+  EXPECT_EQ(first, second);
 }
 
 // --- catchpoints: stop-the-world --------------------------------------------
@@ -376,10 +388,14 @@ TEST(ShardProfile, BucketsSumToRoundWall) {
     EXPECT_EQ(t.barrier_wait_ns, wait) << "worker " << i;
     EXPECT_EQ(t.drain_ns, drain) << "worker " << i;
     EXPECT_EQ(t.dispatches, dispatches) << "worker " << i;
+    // Thread CPU time is measured over the same spans as work and never
+    // exceeds it: the difference is time spent runnable but descheduled.
+    EXPECT_LE(t.cpu_ns, t.work_ns) << "worker " << i;
   }
   // The registry mirrors the totals (interned per-worker instruments).
   auto& reg = obs::Registry::global();
   EXPECT_GT(reg.counter("sim.worker.0.work_ns").value(), 0u);
+  EXPECT_GT(reg.counter("sim.worker.0.cpu_ns").value(), 0u);
   EXPECT_GT(reg.histogram("sim.barrier.round_wall_ns").count(), 0u);
 }
 
@@ -392,6 +408,7 @@ TEST(ShardProfile, ZeroCostWhenObsDisabled) {
   for (int i = 0; i < 2; ++i) {
     sim::Kernel::ShardTotals t = w->kernel->shard_totals(i);
     EXPECT_EQ(t.work_ns, 0u);
+    EXPECT_EQ(t.cpu_ns, 0u);
     EXPECT_EQ(t.barrier_wait_ns, 0u);
     EXPECT_EQ(t.drain_ns, 0u);
     EXPECT_EQ(t.idle_ns, 0u);
@@ -494,8 +511,6 @@ TEST(ShardProfile, PerfettoExportEmptyRingIsMetadataOnly) {
   EXPECT_NE(json.find("\"rounds\":0"), std::string::npos);
 }
 
-// --- relaxed synchrony: eager drains, elision, sparse wakes -------------------
-
 /// Sums a per-shard counter over every partition of a finished wide world.
 template <typename F>
 std::uint64_t sum_shards(const benchutil::WideWorld& w, F get) {
@@ -504,19 +519,14 @@ std::uint64_t sum_shards(const benchutil::WideWorld& w, F get) {
   return total;
 }
 
-// The relaxed-synchrony fast paths actually fire on the scaling shape: tokens
-// cross partitions through eager drains (not just barrier flushes), some
-// rounds complete without any coordinator merge, and shards that cannot
-// progress skip wakes instead of spinning through empty rounds. These are the
-// counters the perf acceptance gate reads, so they must be live — and they
-// are maintained unconditionally (scheduling state, not obs measurements).
-TEST(RelaxedSync, EagerDrainElisionAndSparseWakesFire) {
+// Shards with an empty ready queue are not woken: on the latency-modeled
+// graph (many small rounds between timed wakeups) some shard sits out some
+// round. The count is scheduling state, kept with obs off too; with obs on
+// the interned metrics mirror it, and the round records flag the skipped
+// partitions with zeroed work.
+TEST(ShardProfile, IdleShardsStayParked) {
   EnabledGuard on(true);
   JournalGuard jg;
-  // Latency modeling gives rounds their natural granularity: most rounds are
-  // pure local compute between timed wakeups, which is exactly what elision
-  // exists for. (Without latencies the whole run collapses into a handful of
-  // giant rounds that all carry boundary traffic — nothing to elide.)
   WideGraphConfig cfg;
   cfg.pipelines = 4;
   cfg.stages = 2;
@@ -526,215 +536,81 @@ TEST(RelaxedSync, EagerDrainElisionAndSparseWakesFire) {
   // The registry instruments are process-global and cumulative; snapshot
   // before the run so the checks below compare this run's deltas.
   auto& reg = obs::Registry::global();
-  const std::uint64_t elided0 = reg.counter("sim.barrier.elided_rounds").value();
-  std::uint64_t m_eager = 0, m_skipped = 0;
-  for (int i = 0; i < 4; ++i) {
-    m_eager -= reg.counter(strformat("sim.worker.%d.eager_drained", i)).value();
+  std::uint64_t m_skipped = 0;
+  for (int i = 0; i < 4; ++i)
     m_skipped -= reg.counter(strformat("sim.worker.%d.skipped_wakes", i)).value();
-  }
   auto w = benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, 4);
   w->app->set_model_latencies(true);
   w->kernel->set_round_record_capacity(1 << 15);  // keep every round: exact sums below
   benchutil::run_wide_world(*w);
-  const std::uint64_t eager =
-      sum_shards(*w, [](const sim::Kernel::ShardTotals& t) { return t.eager_drained; });
+  EXPECT_EQ(benchutil::sink_checksum(*w), benchutil::wide_expected_checksum(cfg));
   const std::uint64_t skipped =
       sum_shards(*w, [](const sim::Kernel::ShardTotals& t) { return t.skipped_wakes; });
-  EXPECT_GT(eager, 0u) << "no token ever crossed a boundary via an eager drain";
   EXPECT_GT(skipped, 0u) << "every shard was woken for every round";
-  EXPECT_GT(w->kernel->elided_round_count(), 0u) << "every round paid a full merge";
-  // The interned metrics mirror the unconditional totals when obs is on.
-  EXPECT_EQ(reg.counter("sim.barrier.elided_rounds").value() - elided0,
-            w->kernel->elided_round_count());
-  for (int i = 0; i < 4; ++i) {
-    m_eager += reg.counter(strformat("sim.worker.%d.eager_drained", i)).value();
+  for (int i = 0; i < 4; ++i)
     m_skipped += reg.counter(strformat("sim.worker.%d.skipped_wakes", i)).value();
-  }
-  EXPECT_EQ(m_eager, eager);
   EXPECT_EQ(m_skipped, skipped);
-  // Round records carry the new per-round fields: elided rounds appear in the
-  // ring (the boundary_hwm probe runs on them too), skipped partitions are
-  // flagged with zeroed work, and per-partition eager counts sum to the total.
   const auto& recs = w->kernel->round_records();
-  ASSERT_FALSE(recs.empty());
-  bool saw_elided = false, saw_skipped = false;
-  std::uint64_t rec_eager = 0;
+  ASSERT_EQ(recs.size(), w->kernel->round_count());
+  std::uint64_t rec_skipped = 0;
   for (const sim::BarrierRoundRecord& r : recs) {
-    saw_elided |= r.elided;
     for (const auto& p : r.partitions) {
-      rec_eager += p.eager;
-      if (p.skipped) {
-        saw_skipped = true;
-        EXPECT_EQ(p.work_ns, 0u);
-        EXPECT_EQ(p.dispatches, 0u);
-        EXPECT_FALSE(p.stalled);
-      }
+      if (!p.skipped) continue;
+      rec_skipped++;
+      EXPECT_EQ(p.work_ns, 0u);
+      EXPECT_EQ(p.dispatches, 0u);
+      EXPECT_FALSE(p.stalled);
     }
   }
-  EXPECT_TRUE(saw_elided);
-  EXPECT_TRUE(saw_skipped);
-  EXPECT_EQ(rec_eager, eager) << "record ring not evicted at this size";
+  EXPECT_EQ(rec_skipped, skipped);
+  EXPECT_EQ(w->kernel->elided_round_count(), 0u);
 }
 
-// Relaxing the barriers must not relax correctness: the same checksum and
-// ordered sink sequence as the sequential schedule, at higher worker counts
-// than the FIFO suite (K=8 oversubscribes this host, the stress case).
-TEST(RelaxedSync, DeterministicTranscriptAtK8) {
-  EnabledGuard on(true);
-  JournalGuard jg;
-  std::string first = wide_journal_transcript(8);
-  std::string second = wide_journal_transcript(8);
-  EXPECT_GT(first.size(), 0u);
-  EXPECT_EQ(first, second);
-}
+// --- documented metrics -------------------------------------------------------
 
-// --- adaptive partitioner -----------------------------------------------------
-
-/// Builds the skewed wide world (lane p carries 1+p stages) under kParallel.
-std::unique_ptr<benchutil::WideWorld> build_skewed(int workers) {
-  WideGraphConfig cfg;
-  cfg.pipelines = 6;
-  cfg.stages = 1;
-  cfg.stage_skew = 1;
-  cfg.tokens = 32;
-  cfg.spin = 16;
-  return benchutil::build_wide_world(cfg, sim::ProcessBackend::kParallel, workers);
-}
-
-/// The post-start partition of every stage filter, as one map string.
-std::string partition_map_string(const benchutil::WideWorld& w) {
-  std::string out;
-  for (int p = 0; p < w.cfg.pipelines; ++p)
-    for (int s = 0; s < benchutil::wide_stages(w.cfg, p); ++s) {
-      std::string path = "top.s" + std::to_string(p) + "_" + std::to_string(s);
-      const pedf::Actor* a = w.app->actor_by_path(path);
-      EXPECT_NE(a, nullptr) << path;
-      out += path + "=" + std::to_string(w.app->actor_partition(*a)) + "\n";
-    }
-  return out;
-}
-
-// The adaptive policy is a pure function of (graph, profile, worker count):
-// identical runs produce identical maps, the map differs from the skewed
-// cluster-modulo default, its profile-weighted max load never exceeds the
-// default's, and token order on every link survives the re-placement (the
-// ordered sink sequence is the FIFO witness).
-TEST(AdaptivePartition, DeterministicBalancedAndOrderPreserving) {
-  EnabledGuard on(true);
-  JournalGuard jg;
-  const int workers = 3;
-  // Profiling run under the default cluster-modulo map.
-  std::map<std::string, std::uint64_t> profile;
-  std::string modulo_map;
-  {
-    auto w = build_skewed(workers);
-    benchutil::run_wide_world(*w);
-    profile = w->app->dispatch_profile();
-    modulo_map = partition_map_string(*w);
+/// "<name> <kind>" for `name`, with a worker index folded to N so
+/// `sim.worker.3.work_ns` reads as the documented `sim.worker.N.work_ns`.
+std::string metric_row(std::string name, const char* kind) {
+  const std::string prefix = "sim.worker.";
+  if (name.compare(0, prefix.size(), prefix) == 0) {
+    std::size_t end = prefix.size();
+    while (end < name.size() && std::isdigit(static_cast<unsigned char>(name[end])) != 0) end++;
+    if (end > prefix.size() && end < name.size() && name[end] == '.')
+      name.replace(prefix.size(), end - prefix.size(), "N");
   }
-  ASSERT_FALSE(profile.empty());
-
-  auto run_adaptive = [&] {
-    auto w = build_skewed(workers);
-    w->app->set_partition_policy(pedf::Application::PartitionPolicy::kAdaptive);
-    w->app->set_partition_profile(profile);
-    benchutil::run_wide_world(*w);
-    // Re-placement must not break per-link FIFO: the sink checksum pins
-    // every token transformed exactly once, in order, end to end.
-    EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
-    return partition_map_string(*w);
-  };
-  std::string first = run_adaptive();
-  std::string second = run_adaptive();
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first, modulo_map);
-
-  // Profile-weighted max load: adaptive <= cluster-modulo on this skew.
-  auto max_load = [&](const std::string& map) {
-    std::vector<std::uint64_t> load(static_cast<std::size_t>(workers), 0);
-    std::istringstream in(map);
-    std::string line;
-    while (std::getline(in, line)) {
-      auto eq = line.rfind('=');
-      std::string path = line.substr(0, eq);
-      int part = std::stoi(line.substr(eq + 1));
-      auto it = profile.find(path);
-      load[static_cast<std::size_t>(part)] += it != profile.end() ? it->second : 1;
-    }
-    return *std::max_element(load.begin(), load.end());
-  };
-  EXPECT_LE(max_load(first), max_load(modulo_map)) << "adaptive map:\n" << first;
+  return name + " " + kind;
 }
 
-// Time-weighted adaptive placement: when a wall-time profile is installed it
-// takes precedence over activation counts. Activation counts are blind to
-// per-fire cost (every stage fires once per token), so a synthetic time
-// profile that makes one lane's stages expensive must pull the map away from
-// the activation-weighted one — deterministically, and without breaking
-// token order.
-TEST(AdaptivePartition, TimeProfileOverridesActivationCounts) {
+// The `sim.*` rows of docs/OBSERVABILITY.md's taxonomy are exactly the
+// instruments an observed K=4 run registers, kinds included: a metric that
+// is renamed, added or deleted must take its documentation row with it.
+TEST(ShardProfile, SimMetricsMatchObservabilityDoc) {
   EnabledGuard on(true);
   JournalGuard jg;
-  const int workers = 3;
-  std::map<std::string, std::uint64_t> counts;
-  {
-    auto w = build_skewed(workers);
-    benchutil::run_wide_world(*w);
-    counts = w->app->dispatch_profile();
-    // The profiling run also measures wall time per filter (obs was on):
-    // the time profile exists and covers the same placement units.
-    std::map<std::string, std::uint64_t> times = w->app->dispatch_time_profile();
-    ASSERT_FALSE(times.empty());
-    for (const auto& [path, ns] : times) {
-      EXPECT_GT(ns, 0u) << path;
-      EXPECT_EQ(counts.count(path), 1u) << path;
-    }
+  run_attributed_wide(4);
+  std::set<std::string> registered;
+  const obs::Registry& reg = obs::Registry::global();
+  for (const auto& [name, c] : reg.counters())
+    if (name.compare(0, 4, "sim.") == 0) registered.insert(metric_row(name, "counter"));
+  for (const auto& [name, g] : reg.gauges())
+    if (name.compare(0, 4, "sim.") == 0) registered.insert(metric_row(name, "gauge"));
+  for (const auto& [name, h] : reg.histograms())
+    if (name.compare(0, 4, "sim.") == 0) registered.insert(metric_row(name, "histogram"));
+
+  std::ifstream doc(std::string(DFDBG_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  ASSERT_TRUE(doc.good());
+  std::set<std::string> documented;
+  std::string line;
+  while (std::getline(doc, line)) {
+    // | `sim.dispatch` | counter | meaning |
+    if (line.compare(0, 7, "| `sim.") != 0) continue;
+    const std::size_t name_end = line.find('`', 3);
+    const std::size_t kind_at = line.find("| ", name_end) + 2;
+    const std::string name = line.substr(3, name_end - 3);
+    const std::string kind = line.substr(kind_at, line.find(' ', kind_at) - kind_at);
+    documented.insert(name + " " + kind);
   }
-  // Synthetic skew: lane 0's stages dominate wall time, everything else is
-  // cheap. Activation counts say the opposite (lane 0 has the fewest stages).
-  std::map<std::string, std::uint64_t> synthetic;
-  for (const auto& [path, n] : counts)
-    synthetic[path] = path.find("top.s0_") == 0 ? 1000000 : 1;
-
-  auto run_with = [&](const std::map<std::string, std::uint64_t>& time_profile) {
-    auto w = build_skewed(workers);
-    w->app->set_partition_policy(pedf::Application::PartitionPolicy::kAdaptive);
-    w->app->set_partition_profile(counts);
-    if (!time_profile.empty()) w->app->set_partition_time_profile(time_profile);
-    benchutil::run_wide_world(*w);
-    EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
-    return partition_map_string(*w);
-  };
-  const std::string by_counts = run_with({});
-  const std::string by_time = run_with(synthetic);
-  EXPECT_NE(by_time, by_counts) << "time profile was ignored";
-  EXPECT_EQ(by_time, run_with(synthetic)) << "time-weighted placement not deterministic";
-  // Lane 0 is now the heavy unit: its first stage gets the emptiest bin
-  // first under LPT, i.e. it no longer shares a worker by default weighting.
-  EXPECT_NE(by_time.find("top.s0_0="), std::string::npos);
-}
-
-// An unobserved run measures nothing: the time profile is empty and the
-// adaptive policy falls back to activation counts rather than treating
-// every unit as zero-cost.
-TEST(AdaptivePartition, NoTimeProfileWhenObsDisabled) {
-  EnabledGuard off(false);
-  auto w = build_skewed(2);
-  benchutil::run_wide_world(*w);
-  EXPECT_TRUE(w->app->dispatch_time_profile().empty());
-  EXPECT_FALSE(w->app->dispatch_profile().empty());
-}
-
-// Without a profile (or with one worker) the adaptive policy degrades to the
-// cluster-modulo default instead of guessing.
-TEST(AdaptivePartition, EmptyProfileFallsBackToClusterModulo) {
-  auto w = build_skewed(3);
-  w->app->set_partition_policy(pedf::Application::PartitionPolicy::kAdaptive);
-  auto base = build_skewed(3);
-  benchutil::run_wide_world(*w);
-  benchutil::run_wide_world(*base);
-  EXPECT_EQ(partition_map_string(*w), partition_map_string(*base));
-  EXPECT_EQ(benchutil::sink_checksum(*w), w->expected_checksum);
+  EXPECT_EQ(documented, registered);
 }
 
 }  // namespace

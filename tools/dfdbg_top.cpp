@@ -125,8 +125,7 @@ struct WorkerState {
   std::uint64_t work_ns = 0;
   std::uint64_t wait_ns = 0;
   std::uint64_t stalls = 0;
-  std::uint64_t skips = 0;  ///< rounds this worker slept through (sparse wakes)
-  std::uint64_t eager = 0;  ///< tokens it pulled across boundaries mid-round
+  std::uint64_t skips = 0;  ///< rounds this worker slept through (no ready work)
 };
 
 struct Model {
@@ -143,7 +142,6 @@ struct Model {
   std::uint64_t workers = 0;       ///< from capabilities: partition count
   std::vector<WorkerState> shard;  ///< indexed by partition; grown on demand
   std::uint64_t barrier_rounds = 0;  ///< shard.rounds records consumed
-  std::uint64_t elided_rounds = 0;   ///< of those, rounds with no barrier merge
 };
 
 /// One journal event object -> one compact tail line.
@@ -201,7 +199,6 @@ void apply_notification(Model& m, const JsonValue& frame) {
     if (const JsonValue* rounds = p->find("rounds"); rounds != nullptr && rounds->is_array()) {
       m.barrier_rounds += rounds->size();
       for (std::size_t i = 0; i < rounds->size(); ++i) {
-        if (rounds->at(i).bool_or("elided", false)) m.elided_rounds++;
         const JsonValue* parts = rounds->at(i).find("partitions");
         if (parts == nullptr || !parts->is_array()) continue;
         if (m.shard.size() < parts->size()) m.shard.resize(parts->size());
@@ -211,7 +208,6 @@ void apply_notification(Model& m, const JsonValue& frame) {
           w.dispatches += d.u64_or("dispatches", 0);
           w.work_ns += d.u64_or("work_ns", 0);
           w.wait_ns += d.u64_or("wait_ns", 0);
-          w.eager += d.u64_or("eager", 0);
           if (d.bool_or("stalled", false)) w.stalls++;
           if (d.bool_or("skipped", false)) w.skips++;
         }
@@ -259,20 +255,18 @@ void render(const Model& m, bool ansi) {
   // accumulated from shard.rounds, as a bar per worker.
   if (!m.shard.empty()) {
     scr += strformat(
-        "\nworkers (%llu rounds, %llu elided)     util  dispatches  stalls  skips  eager\n",
-        static_cast<unsigned long long>(m.barrier_rounds),
-        static_cast<unsigned long long>(m.elided_rounds));
+        "\nworkers (%llu rounds)                 util  dispatches  stalls  skips\n",
+        static_cast<unsigned long long>(m.barrier_rounds));
     for (std::size_t i = 0; i < m.shard.size(); ++i) {
       const WorkerState& w = m.shard[i];
       const std::uint64_t denom = w.work_ns + w.wait_ns;
       const double util = denom == 0 ? 0.0 : static_cast<double>(w.work_ns) / denom;
       std::string bar(static_cast<std::size_t>(util * 16.0 + 0.5), '#');
       bar.resize(16, '.');
-      scr += strformat("  worker %-2zu [%s] %5.1f%% %11llu %7llu %6llu %6llu\n", i, bar.c_str(),
+      scr += strformat("  worker %-2zu [%s] %5.1f%% %11llu %7llu %6llu\n", i, bar.c_str(),
                        util * 100.0, static_cast<unsigned long long>(w.dispatches),
                        static_cast<unsigned long long>(w.stalls),
-                       static_cast<unsigned long long>(w.skips),
-                       static_cast<unsigned long long>(w.eager));
+                       static_cast<unsigned long long>(w.skips));
     }
   }
   scr += "\njournal tail\n";

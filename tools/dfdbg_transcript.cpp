@@ -6,8 +6,7 @@
 // worker count. The transcript covers every journal event the debugger
 // replays — dispatch records, token pushes/pops with provenance ids, in
 // barrier merge order — so a byte diff is the strongest cheap witness that
-// the relaxed-synchrony fast paths (eager drains, elided barriers, sparse
-// wakes) did not perturb the schedule.
+// worker timing did not perturb the schedule.
 //
 // Usage: dfdbg-transcript <workers> [seed] [tokens]
 #include <cstdio>
@@ -51,10 +50,11 @@ int main(int argc, char** argv) {
   benchutil::run_wide_world(*w);
 
   const std::uint64_t checksum = benchutil::sink_checksum(*w);
-  if (checksum != w->expected_checksum) {
+  const std::uint64_t want = benchutil::wide_expected_checksum(cfg);
+  if (checksum != want) {
     std::fprintf(stderr, "FAIL: sink checksum %llu != expected %llu\n",
                  static_cast<unsigned long long>(checksum),
-                 static_cast<unsigned long long>(w->expected_checksum));
+                 static_cast<unsigned long long>(want));
     return 1;
   }
   std::fputs(j.format_last(j.size()).c_str(), stdout);
